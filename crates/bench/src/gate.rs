@@ -195,6 +195,43 @@ impl GateReport {
             .collect()
     }
 
+    /// One line per failing verdict of every kind — algorithm cells, then
+    /// preprocess-time cells, then large-graph cells — naming the cell, its
+    /// status and the baseline and current figures it was judged on.
+    pub fn failure_lines(&self) -> Vec<String> {
+        let cells = self.failures().into_iter().map(|v| {
+            format!(
+                "cell {} [{}]: cycles {} -> {}, inaccuracy {:.6} -> {:.6}",
+                v.id,
+                v.status.label(),
+                v.base_cycles,
+                v.cur_cycles,
+                v.base_inaccuracy,
+                v.cur_inaccuracy
+            )
+        });
+        let preprocess = self.preprocess_failures().into_iter().map(|v| {
+            format!(
+                "preprocess {} [{}]: {:.4} s -> {:.4} s (allowance {:.4} s)",
+                v.id,
+                v.status.label(),
+                v.base_seconds,
+                v.cur_seconds,
+                v.allowance
+            )
+        });
+        let large = self.large_failures().into_iter().map(|v| {
+            format!(
+                "large {} [{}]: cycles {} -> {}",
+                v.id,
+                v.status.label(),
+                v.base_cycles,
+                v.cur_cycles
+            )
+        });
+        cells.chain(preprocess).chain(large).collect()
+    }
+
     /// True when nothing regressed, drifted, or went missing — on the
     /// algorithm cells, the preprocess-time cells, and the large-graph
     /// cells.
@@ -669,10 +706,19 @@ mod tests {
     fn unchanged_tree_passes() {
         let b = tiny_baseline();
         let report = run_gate(GateOptions::default(), &b);
-        assert!(report.passed(), "failures: {:?}", report.failures());
+        assert!(
+            report.passed(),
+            "failing cells: {:#?}",
+            report.failure_lines()
+        );
         assert_eq!(report.count(CellStatus::Ok), b.cells.len());
         // And again — the gate must be replayable without false positives.
-        assert!(run_gate(GateOptions::default(), &b).passed());
+        let again = run_gate(GateOptions::default(), &b);
+        assert!(
+            again.passed(),
+            "failing cells: {:#?}",
+            again.failure_lines()
+        );
     }
 
     #[test]
@@ -728,7 +774,7 @@ mod tests {
         let mut cur = b.cells.clone();
         cur[0].elapsed_cycles = (cur[0].elapsed_cycles / 2).max(1);
         let report = evaluate(GateOptions::default(), &b, &cur, &b.preprocess, &b.large);
-        assert!(report.passed());
+        assert!(report.passed(), "{:#?}", report.failure_lines());
         assert_eq!(report.count(CellStatus::Improved), 1);
     }
 
@@ -762,7 +808,7 @@ mod tests {
             c.seconds_mean += 0.01;
         }
         let report = evaluate(GateOptions::default(), &b, &b.cells, &cur, &b.large);
-        assert!(report.passed(), "{:?}", report.preprocess_failures());
+        assert!(report.passed(), "{:#?}", report.failure_lines());
     }
 
     /// The scaled preprocess floor: multi-second baseline cells get an
@@ -784,7 +830,7 @@ mod tests {
         // 10%-of-baseline floor (0.4 s).
         cur[0].seconds_mean = 4.3;
         let report = evaluate(opts, &b, &b.cells, &cur, &b.large);
-        assert!(report.passed(), "{:?}", report.preprocess_failures());
+        assert!(report.passed(), "{:#?}", report.failure_lines());
         // +0.5 s clears the scaled floor and must still fail.
         cur[0].seconds_mean = 4.5;
         let report = evaluate(opts, &b, &b.cells, &cur, &b.large);
@@ -818,7 +864,7 @@ mod tests {
         let mut cur = b.large.clone();
         cur[0].elapsed_cycles = 1_200_000_000; // +20%: inside the band
         let report = evaluate(GateOptions::default(), &b, &b.cells, &b.preprocess, &cur);
-        assert!(report.passed(), "{:?}", report.large_failures());
+        assert!(report.passed(), "{:#?}", report.failure_lines());
         cur[0].elapsed_cycles = 1_300_000_000; // +30%: regression
         let report = evaluate(GateOptions::default(), &b, &b.cells, &b.preprocess, &cur);
         assert!(!report.passed());
@@ -831,6 +877,24 @@ mod tests {
         let report = evaluate(GateOptions::default(), &b, &b.cells, &b.preprocess, &[]);
         assert_eq!(report.large_failures().len(), 2);
         assert!(!report.passed(), "missing large cells must fail the gate");
+    }
+
+    /// A failing algorithm cell, preprocess cell and large cell all show
+    /// up in the one failure listing, in that order.
+    #[test]
+    fn failure_lines_name_every_failing_kind() {
+        let mut b = tiny_baseline();
+        b.large = vec![large_cell("bfs", 1_000_000_000)];
+        let cells = b.cells.clone();
+        b.cells[0].elapsed_cycles /= 2;
+        let mut pre = b.preprocess.clone();
+        pre[0].seconds_mean += 10.0;
+        let report = evaluate(GateOptions::default(), &b, &cells, &pre, &[]);
+        let lines = report.failure_lines();
+        assert_eq!(lines.len(), 3, "{lines:#?}");
+        assert!(lines[0].starts_with(&format!("cell {} [perf-regression]", b.cells[0].key.id())));
+        assert!(lines[1].starts_with(&format!("preprocess {} [perf-regression]", pre[0].id())));
+        assert!(lines[2].starts_with(&format!("large {} [missing]", b.large[0].id())));
     }
 
     #[test]

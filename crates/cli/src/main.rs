@@ -1154,14 +1154,8 @@ fn bench(flags: &HashMap<String, String>, cache: &CacheConfig) {
                 log_info!("wrote gate report {out} (schema {GATE_SCHEMA})");
             }
             if !report.passed() {
-                for f in report.failures() {
-                    eprintln!("FAIL {} [{}]", f.id, f.status.label());
-                }
-                for f in report.preprocess_failures() {
-                    eprintln!("FAIL {} [{}]", f.id, f.status.label());
-                }
-                for f in report.large_failures() {
-                    eprintln!("FAIL {} [{}]", f.id, f.status.label());
+                for line in report.failure_lines() {
+                    eprintln!("FAIL {line}");
                 }
                 exit(1);
             }

@@ -18,7 +18,7 @@
 use crate::config::GpuConfig;
 use crate::lane::Lane;
 use crate::stats::KernelStats;
-use crate::warp::replay_warp;
+use crate::warp::WarpReplayer;
 use graffix_graph::{NodeId, INVALID_NODE};
 use rayon::prelude::*;
 
@@ -116,6 +116,7 @@ where
                 activated: Vec::new(),
             };
             let mut lanes: Vec<Lane> = (0..cfg.warp_size).map(|_| Lane::new()).collect();
+            let mut replayer = WarpReplayer::new(cfg);
             for &(warp_nodes, resident, span) in ws {
                 for (i, &v) in warp_nodes.iter().enumerate() {
                     lanes[i].reset();
@@ -126,11 +127,7 @@ where
                     lanes[i].set_resident_span(span);
                     out.changed |= kernel(v, &mut lanes[i]);
                 }
-                let traces: Vec<&[_]> = lanes[..warp_nodes.len()]
-                    .iter()
-                    .map(|l| l.trace())
-                    .collect();
-                replay_warp(cfg, &traces, &mut out.stats);
+                replayer.replay_lanes(&lanes[..warp_nodes.len()], &mut out.stats);
                 for lane in &mut lanes[..warp_nodes.len()] {
                     out.activated.extend(lane.drain_activations());
                 }

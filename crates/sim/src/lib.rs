@@ -27,6 +27,13 @@
 //! * Lanes whose trace already ended idle; their slots are counted as
 //!   **divergence waste** while the warp keeps paying issue cycles.
 //!
+//! The replay is **live-lane** ([`warp::WarpReplayer`]): lanes are ordered
+//! by trace length, longest first, so a step visits only the prefix of
+//! lanes still running and charges the rest as divergent slots in bulk;
+//! once one lane is left, the rest of its trace is priced by counting its
+//! events, since a lone event never coalesces, conflicts or collides. The
+//! result is the same as visiting every lane at every step.
+//!
 //! Total elapsed cycles divide the summed warp cycles by an SM-parallelism
 //! and latency-hiding factor — a deterministic stand-in for occupancy.
 
